@@ -67,9 +67,9 @@ func (c *Client) runOnce(serverAddr string) (shutdown bool, _ error) {
 	}
 	// Both frames are reused across iterations: RecvInto recycles the
 	// inbound Params buffer, and the outbound update serializes straight
-	// from the model's parameter view — Send gob-encodes synchronously, so
-	// the borrow never outlives the call and the loop allocates nothing
-	// per round.
+	// from the model's parameter view — Send encodes synchronously, so the
+	// borrow never outlives the call and the loop allocates nothing per
+	// round.
 	var in, out transport.Msg
 	for {
 		if err := conn.RecvInto(&in); err != nil {

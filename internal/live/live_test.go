@@ -188,8 +188,6 @@ func TestCheckpointRestart(t *testing.T) {
 	if err := srv.CheckpointToFile(path); err != nil {
 		t.Fatal(err)
 	}
-	wantAge := srv.Age()
-	wantParams := srv.Params()
 	srv.Close()
 	<-done
 
@@ -202,24 +200,31 @@ func TestCheckpointRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Updates keep landing on srv between the checkpoint and Close, so
+	// the reference is the state recorded in the checkpoint itself, not
+	// srv's state read afterwards.
+	wantAge, wantParams := st.Age, append([]float64(nil), st.W...)
 	restored, err := NewServerFromCheckpoint("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
 
-	// Age can only have moved by updates processed between snapshot and
-	// close; require it to be at least the snapshot value.
-	if restored.Age() < wantAge {
-		t.Errorf("restored age %v < checkpoint age %v", restored.Age(), wantAge)
+	// Nothing is connected to the restored server yet: it must resume
+	// exactly at the checkpointed age and model.
+	if restored.Age() != wantAge {
+		t.Errorf("restored age %v != checkpoint age %v", restored.Age(), wantAge)
 	}
 	got := restored.Params()
 	if len(got) != len(wantParams) {
 		t.Fatal("param length changed across restart")
 	}
-	// The checkpoint was taken at wantAge; if no updates raced in, the
-	// params match exactly. Either way a restored server must accept new
-	// clients and keep training.
+	for i := range got {
+		if got[i] != wantParams[i] {
+			t.Fatalf("restored param %d = %v, checkpoint has %v", i, got[i], wantParams[i])
+		}
+	}
+	// A restored server must accept new clients and keep training.
 	client2 := &Client{ID: 1, Model: factory(3), Shard: []int{3, 4}, Epochs: 1}
 	done2 := make(chan struct{})
 	go func() {

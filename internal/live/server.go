@@ -704,9 +704,10 @@ func (s *Server) readLoop(conn *transport.Conn) {
 		_ = conn.Close()
 		return
 	}
-	switch hello.Bid {
+	role, id := hello.Bid, hello.From
+	switch role {
 	case RoleClient:
-		s.registerClient(hello.From, conn)
+		s.registerClient(id, conn)
 	case RoleServer:
 		// Inbound peer link: read-only; our own dialed link sends.
 	default:
@@ -716,14 +717,15 @@ func (s *Server) readLoop(conn *transport.Conn) {
 	// One reusable frame per connection: RecvInto recycles the Params
 	// backing array across decodes, so a steady-state reader allocates
 	// nothing per frame. The core handlers consume Params synchronously
-	// (dispatch holds s.mu for the whole handler) and Token.Ages — the one
-	// field receivers retain — is never reused (see transport.Msg.Reset).
+	// (dispatch holds s.mu for the whole handler); the fields receivers
+	// retain are never reused (see transport.Msg.Reset). A frame that
+	// fails transport validation closes the connection and ends the loop.
 	var m transport.Msg
 	for {
 		if err := conn.RecvInto(&m); err != nil {
 			return
 		}
-		s.dispatch(&m)
+		s.dispatch(role, id, &m)
 	}
 }
 
@@ -859,19 +861,34 @@ func (s *Server) registerClient(id int, conn *transport.Conn) {
 // the core handlers consume its Params synchronously under s.mu, so the
 // steady-state server processes a frame without allocating.
 //
+// It is also the protocol half of the validation edge (the transport
+// already refused malformed frames and non-finite floats). role and id
+// are what the connection registered with in its hello. A frame is
+// dropped unless its From is that id, its kind is one the role may send
+// (client updates from clients; models, ages and tokens from servers),
+// and any model it carries has the server model's dimension.
+//
 //spyker:noalloc
-func (s *Server) dispatch(m *transport.Msg) {
+func (s *Server) dispatch(role, id int, m *transport.Msg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closing.Load() {
+	if s.closing.Load() || m.From != id {
+		return
+	}
+	dim := len(s.core.Params())
+	if role == RoleClient {
+		if m.Kind == transport.KindClientUpdate && len(m.Params) == dim {
+			s.noteRecv(m.From, m)
+			s.core.HandleClientUpdateTraced(m.From, m.Params, m.Age, m.Trace.UID)
+			s.updates.Add(1)
+		}
 		return
 	}
 	switch m.Kind {
-	case transport.KindClientUpdate:
-		s.noteRecv(m.From, m)
-		s.core.HandleClientUpdateTraced(m.From, m.Params, m.Age, m.Trace.UID)
-		s.updates.Add(1)
 	case transport.KindServerModel:
+		if len(m.Params) != dim {
+			return
+		}
 		s.noteRecv(obs.ServerNode+m.From, m)
 		s.absorbHeader(m)
 		s.core.HandleServerModelTraced(m.From, m.Params, m.Age, m.Bid, m.Trace.Front,
@@ -977,7 +994,7 @@ func (o *serverOutbound) BroadcastModel(params []float64, age float64, bid int, 
 	s := (*Server)(o)
 	// front is a borrow of the core's live frontier and the outboxes encode
 	// asynchronously, so snapshot it once here; the copy is shared by every
-	// frame (outboxes only read it for gob encoding). mem.Members is safe
+	// frame (outboxes only read it while encoding). mem.Members is safe
 	// to share un-copied: ring.Membership slices are never mutated in
 	// place (membership changes allocate fresh slices).
 	frontCopy := append([]int64(nil), front...)

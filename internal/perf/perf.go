@@ -28,6 +28,7 @@ const (
 	LayerSpyker     = "spyker"
 	LayerSimulation = "simulation"
 	LayerGeo        = "geo"
+	LayerTransport  = "transport"
 	LayerLive       = "live"
 	LayerObs        = "obs"
 	LayerLint       = "lint"

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	// Full client-update round trip over real TCP: gob-encode a
+	// Full client-update round trip over real TCP: frame-encode a
 	// model-sized update, cross the loopback socket, dispatch through the
 	// server's read loop and mutex-serialized core, aggregate, and
 	// receive the pooled model reply. This is the live runtime's

@@ -1,13 +1,47 @@
 // Package transport implements the wire protocol of the live (non
-// simulated) Spyker runtime: length-delimited gob frames over TCP. It
+// simulated) Spyker runtime: length-prefixed binary frames over TCP. It
 // carries exactly the message vocabulary of the Spyker protocol — client
-// updates, model replies, server-model broadcasts, age announcements, and
-// the token.
+// updates, model replies, server-model broadcasts, age announcements, the
+// token, and the elastic-membership join handshake.
+//
+// # Frame layout
+//
+// A frame is a fixed 82-byte header followed by the variable sections the
+// header sizes. Integers are little-endian; floats travel as their
+// IEEE-754 bits, little-endian.
+//
+//	offset  size  field
+//	     0     4  size: bytes after this word (header rest + sections)
+//	     4     1  version (1)
+//	     5     1  Kind
+//	     6     8  From              int64
+//	    14     8  Age               float64
+//	    22     8  LR                float64
+//	    30     8  Bid               int64
+//	    38     8  Epoch             int64
+//	    46     8  Trace.UID         int64
+//	    54     4  len(Params)       float64 count
+//	    58     4  len(Ages)         float64 count
+//	    62     4  len(Trace.Front)  int64 count
+//	    66     4  len(Members)      int64 count
+//	    70     4  len(Addrs)        entry count
+//	    74     4  Addrs section     byte count
+//	    78     4  len(Blob)         byte count
+//	    82        Params, Ages, Trace.Front, Members (8 bytes per element),
+//	              Addrs (per entry: u32 length, then the bytes), Blob
+//
+// The receiving Conn is the validation edge for everything a frame can
+// get wrong by itself: an unknown version or kind, a size over the 64 MiB
+// frame cap (checked before any buffer is sized from it), section
+// lengths that do not add up to the frame size, and non-finite floats in
+// Params, Ages, Age or LR. Any of these closes the connection. Checks that
+// need protocol state (model dimension, sender identity, which kinds a
+// connection may carry) belong to the receiver, internal/live.
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -74,9 +108,7 @@ func (k Kind) String() string {
 // the client update (KindClientUpdate) or sync-round broadcast
 // (KindServerModel, KindToken) the frame carries; Front is the sender's
 // merged-updates frontier snapshot (KindServerModel only). A zero Trace is
-// "untraced" and — because gob omits zero-valued fields — costs nothing on
-// the wire, so peers predating the provenance extension interoperate
-// unchanged.
+// "untraced".
 type Trace struct {
 	UID   obs.UID
 	Front []int64
@@ -97,28 +129,21 @@ type Msg struct {
 	// of the server ring (server-to-server kinds); Addrs carries the
 	// sender's address book aligned with Members so receivers can dial
 	// newly admitted peers; Blob is an opaque payload (KindJoinReply
-	// carries a gob-encoded state snapshot in it). A zero header — the
-	// pre-elastic wire format — costs nothing under gob.
+	// carries a gob-encoded state snapshot in it).
 	Epoch   int
 	Members []int
 	Addrs   []string
 	Blob    []byte
 }
 
-// Reset clears the message for reuse as a gob decode target. Gob leaves
-// fields absent from the wire untouched, so every field must be zeroed
-// here or a previous frame's value would leak into the next. Params keeps
-// its backing array (truncated to length 0) so repeated decodes on a
-// connection reuse one buffer; Ages is dropped entirely because token
-// receivers retain the decoded slice (spyker.ServerCore.HandleToken
-// stores it), so it must never be overwritten by a later decode.
-// Trace.Front keeps its backing array like Params: the frontier is merged
-// into the receiving core before the next decode, never retained.
-// Members is dropped like Ages: token receivers retain the decoded
-// membership slice (it becomes Token.Mem.Members, which ServerCore
-// stores), so a later decode must never scribble over it. Addrs and
-// Blob are dropped for the same reason (the address book and join
-// snapshot outlive the frame).
+// Reset clears the message for reuse as a receive target. Params and
+// Trace.Front keep their backing arrays (truncated to length 0), so
+// repeated decodes on a connection reuse one buffer each: receivers
+// consume both before the next decode. Ages, Members, Addrs and Blob are
+// dropped instead, and every decode allocates them afresh, because
+// receivers retain them past the frame — spyker.ServerCore.HandleToken
+// stores the token's Ages and Members, and the address book and join
+// snapshot outlive it — so a later decode must never write into them.
 func (m *Msg) Reset() {
 	m.Kind = 0
 	m.From = 0
@@ -135,21 +160,9 @@ func (m *Msg) Reset() {
 	m.Blob = nil
 }
 
-// MsgWireBytes estimates the payload size of a message in bytes: the
-// float64 vectors dominate, plus a small fixed overhead for the scalar
-// fields and gob framing. It deliberately ignores gob's type-descriptor
-// preamble (sent once per connection), so the estimate is stable per
-// frame — what byte accounting wants.
-func MsgWireBytes(m *Msg) int {
-	n := 40 + 8*(len(m.Params)+len(m.Ages)+len(m.Trace.Front)+len(m.Members)) + len(m.Blob)
-	for _, a := range m.Addrs {
-		n += len(a)
-	}
-	return n
-}
-
 // ConnStats is a snapshot of a connection's frame and byte accounting.
-// Bytes are MsgWireBytes estimates, not TCP-level octets.
+// Bytes are whole frame lengths (MsgWireBytes), which is every byte the
+// connection writes or reads.
 type ConnStats struct {
 	FramesSent, FramesRecv int64
 	BytesSent, BytesRecv   int64
@@ -163,22 +176,25 @@ type Sender interface {
 	Close() error
 }
 
-// Conn is a gob-framed connection. Send is safe for concurrent use;
-// Recv must be driven from a single reader goroutine.
+// Conn is a framed connection. Send is safe for concurrent use; Recv and
+// RecvInto must be driven from a single reader goroutine. Each direction
+// owns one reused frame buffer, grown to the largest frame seen.
 type Conn struct {
-	raw net.Conn
-	enc *gob.Encoder //spyker:guardedby(mu)
-	dec *gob.Decoder
-	mu  sync.Mutex
+	raw  net.Conn
+	mu   sync.Mutex
+	wbuf []byte //spyker:guardedby(mu)
+
+	// Reader-goroutine state: the header of the frame being read and the
+	// body buffer.
+	hdr  [headerLen]byte
+	rbuf []byte
 
 	framesSent, framesRecv atomic.Int64
 	bytesSent, bytesRecv   atomic.Int64
 }
 
 // NewConn wraps an established net.Conn.
-func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
-}
+func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw} }
 
 // Dial connects to addr over TCP.
 func Dial(addr string) (*Conn, error) {
@@ -189,16 +205,37 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(raw), nil
 }
 
-// Send encodes one message.
+// Send encodes m into the connection's frame buffer and writes the frame
+// with a single Write. m is only read during the call, so callers may
+// reuse or return its slices once Send returns.
+//
+//spyker:noalloc
 func (c *Conn) Send(m *Msg) error {
+	n := MsgWireBytes(m)
+	if !validKind(m.Kind) {
+		return sendError(m.Kind, errKind)
+	}
+	if n > maxFrameBytes {
+		return sendError(m.Kind, errTooLarge)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("transport: send %v: %w", m.Kind, err)
+	c.wbuf = grow(c.wbuf, n)
+	encode(c.wbuf, m)
+	if _, err := c.raw.Write(c.wbuf); err != nil {
+		return sendError(m.Kind, err)
 	}
 	c.framesSent.Add(1)
-	c.bytesSent.Add(int64(MsgWireBytes(m)))
+	c.bytesSent.Add(int64(n))
 	return nil
+}
+
+// sendError names the frame kind a failed Send was writing. Out of line
+// so its allocation stays off Send's escape-gated body.
+//
+//go:noinline
+func sendError(k Kind, err error) error {
+	return fmt.Errorf("transport: send %v: %w", k, err)
 }
 
 // Recv decodes the next message into a fresh Msg.
@@ -210,22 +247,40 @@ func (c *Conn) Recv() (*Msg, error) {
 	return &m, nil
 }
 
-// RecvInto decodes the next message into m, reusing m's Params backing
-// array when its capacity suffices — the allocation-free receive path for
-// a long-lived reader loop. m is Reset first, so any Msg (including one
-// holding a previous frame) is a valid target. (Steady-state gob decodes
-// into a capacious Msg allocate nothing; growth on the first frames is
-// gob's, inside Decode.)
+// RecvInto reads the next frame into m. m is Reset first, so any Msg
+// (including one holding a previous frame) is a valid target, and its
+// Params and Trace.Front arrays are reused when large enough: a
+// long-lived reader loop decoding same-sized frames allocates nothing.
+// A frame that fails validation closes the connection and returns the
+// framing error; I/O errors are returned as they are. After an error m
+// holds no usable frame.
 //
 //spyker:noalloc
 func (c *Conn) RecvInto(m *Msg) error {
 	m.Reset()
-	if err := c.dec.Decode(m); err != nil {
+	if _, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
 		return err
 	}
+	h, err := parseHeader(m, c.hdr[:])
+	if err != nil {
+		return c.reject(err)
+	}
+	c.rbuf, err = readBody(c.raw, c.rbuf, h.size-headerLen)
+	if err != nil {
+		return err
+	}
+	if err := decodeBody(m, &h, c.rbuf); err != nil {
+		return c.reject(err)
+	}
 	c.framesRecv.Add(1)
-	c.bytesRecv.Add(int64(MsgWireBytes(m)))
+	c.bytesRecv.Add(int64(h.size))
 	return nil
+}
+
+// reject closes the connection after a framing error and returns it.
+func (c *Conn) reject(err error) error {
+	_ = c.raw.Close()
+	return err
 }
 
 // Stats reports the connection's cumulative frame/byte accounting. Safe
@@ -245,7 +300,7 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // RemoteAddr reports the peer address.
 func (c *Conn) RemoteAddr() string { return c.raw.RemoteAddr().String() }
 
-// Listener accepts gob-framed connections.
+// Listener accepts framed connections.
 type Listener struct {
 	l net.Listener
 }

@@ -129,7 +129,8 @@ func TestDialUnreachable(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	kinds := []Kind{KindHello, KindClientUpdate, KindModelReply,
-		KindServerModel, KindAge, KindToken, KindShutdown}
+		KindServerModel, KindAge, KindToken, KindShutdown,
+		KindJoinRequest, KindJoinReply}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("Kind %d has empty name", int(k))
@@ -141,7 +142,8 @@ func TestKindString(t *testing.T) {
 }
 
 // TestLargeModelPayload pushes a realistic full-size model frame (100k
-// float64 parameters, ~800 KB) through the gob framing.
+// float64 parameters, ~800 KB) through the framing: larger than the read
+// buffer's first growth step, so the body arrives in several chunks.
 func TestLargeModelPayload(t *testing.T) {
 	client, server := pipePair(t)
 	params := make([]float64, 100_000)
@@ -165,19 +167,21 @@ func TestLargeModelPayload(t *testing.T) {
 	}
 }
 
-// TestMsgWireBytes pins the byte-accounting model: fixed overhead plus
-// 8 bytes per float64 across both vector fields.
+// TestMsgWireBytes pins the exact frame length: the 82-byte header, 8
+// bytes per vector element, a 4-byte prefix per address, and the blob.
 func TestMsgWireBytes(t *testing.T) {
 	cases := []struct {
 		m    Msg
 		want int
 	}{
-		{Msg{Kind: KindHello, From: 3}, 40},
-		{Msg{Kind: KindClientUpdate, Params: make([]float64, 10)}, 40 + 80},
-		{Msg{Kind: KindToken, Ages: make([]float64, 4)}, 40 + 32},
-		{Msg{Kind: KindServerModel, Params: make([]float64, 5), Ages: make([]float64, 2)}, 40 + 56},
+		{Msg{Kind: KindHello, From: 3}, 82},
+		{Msg{Kind: KindClientUpdate, Params: make([]float64, 10)}, 82 + 80},
+		{Msg{Kind: KindToken, Ages: make([]float64, 4)}, 82 + 32},
+		{Msg{Kind: KindServerModel, Params: make([]float64, 5), Ages: make([]float64, 2)}, 82 + 56},
 		{Msg{Kind: KindServerModel, Params: make([]float64, 5),
-			Trace: Trace{Front: make([]int64, 4)}}, 40 + 40 + 32},
+			Trace: Trace{Front: make([]int64, 4)}}, 82 + 40 + 32},
+		{Msg{Kind: KindJoinReply, Members: []int{0, 1}, Addrs: []string{"a:1", ""},
+			Blob: make([]byte, 9)}, 82 + 16 + (4 + 3) + 4 + 9},
 	}
 	for _, c := range cases {
 		if got := MsgWireBytes(&c.m); got != c.want {
@@ -187,7 +191,7 @@ func TestMsgWireBytes(t *testing.T) {
 }
 
 // TestTraceRoundTrip checks that the causal trace context survives the
-// gob framing, that Reset clears it between decodes (no leakage from a
+// framing, that Reset clears it between decodes (no leakage from a
 // traced frame into an untraced one), and that untraced frames decode
 // with a zero Trace.
 func TestTraceRoundTrip(t *testing.T) {
@@ -242,7 +246,8 @@ func TestResetClearsTrace(t *testing.T) {
 }
 
 // TestConnStats checks that Send/Recv maintain the frame and byte
-// counters symmetrically on both ends of a connection.
+// counters symmetrically on both ends of a connection, counting exact
+// frame lengths.
 func TestConnStats(t *testing.T) {
 	client, server := pipePair(t)
 	msgs := []*Msg{
@@ -250,9 +255,8 @@ func TestConnStats(t *testing.T) {
 		{Kind: KindClientUpdate, From: 1, Params: make([]float64, 16), Age: 2},
 		{Kind: KindToken, From: 0, Ages: make([]float64, 3)},
 	}
-	wantBytes := int64(0)
+	const wantBytes = 82 + (82 + 8*16) + (82 + 8*3)
 	for _, m := range msgs {
-		wantBytes += int64(MsgWireBytes(m))
 		if err := client.Send(m); err != nil {
 			t.Fatal(err)
 		}
